@@ -98,30 +98,35 @@ let run ?engine ~delta config ~workload ~failures ~until ~seed =
     packets_dropped = result.Engine.packets_dropped;
   }
 
-(* Byte codec over the shared field framing, so the baseline can run on
+(* Byte codec over the shared binary framing, so the baseline can run on
    the bus for wall-clock comparisons against VStoTO and Skeen. *)
 
-module W = Gcs_impl.Wire
+module E = Gcs_impl.Wire.Enc
+module D = Gcs_impl.Wire.Dec
 
-let ( let* ) = Result.bind
+let encode_packet =
+  E.to_string (fun b -> function
+    | Request { origin; value } ->
+        E.tag b 0;
+        E.int b origin;
+        E.string b value
+    | Ordered { seq; origin; value } ->
+        E.tag b 1;
+        E.int b seq;
+        E.int b origin;
+        E.string b value)
 
-let encode_packet = function
-  | Request { origin; value } ->
-      W.Framing.encode [ "r"; string_of_int origin; value ]
-  | Ordered { seq; origin; value } ->
-      W.Framing.encode [ "o"; string_of_int seq; string_of_int origin; value ]
-
-let decode_packet s =
-  let* fs = W.fields_of "sequencer packet" s in
-  match fs with
-  | [ "r"; origin; value ] ->
-      let* origin = W.int_of "request.origin" origin in
-      Ok (Request { origin; value })
-  | [ "o"; seq; origin; value ] ->
-      let* seq = W.int_of "ordered.seq" seq in
-      let* origin = W.int_of "ordered.origin" origin in
-      Ok (Ordered { seq; origin; value })
-  | _ -> Error (Printf.sprintf "sequencer packet: unknown shape %S" s)
+let decode_packet =
+  D.run "sequencer packet" (fun d ->
+      match D.tag "sequencer packet" d with
+      | 0 ->
+          let origin = D.int "request.origin" d in
+          Request { origin; value = D.string "request.value" d }
+      | 1 ->
+          let seq = D.int "ordered.seq" d in
+          let origin = D.int "ordered.origin" d in
+          Ordered { seq; origin; value = D.string "ordered.value" d }
+      | t -> D.bad_tag "sequencer packet" t d)
 
 let packet_codec : packet Gcs_transport.Iface.codec =
   { enc = encode_packet; dec = decode_packet }

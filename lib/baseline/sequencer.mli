@@ -35,8 +35,14 @@ type packet =
   | Request of { origin : Proc.t; value : Value.t }
   | Ordered of { seq : int; origin : Proc.t; value : Value.t }
 
+(** Over the shared binary framing ({!Gcs_impl.Wire.Enc}): tag
+    [Request] 0, [Ordered] 1, then the fields in declaration order. *)
+
 val encode_packet : packet -> string
+
 val decode_packet : string -> (packet, string) result
+(** Total: any input yields [Ok] or [Error], never an exception. *)
+
 val packet_codec : packet Gcs_transport.Iface.codec
 
 val run_on :

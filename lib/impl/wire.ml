@@ -31,320 +31,275 @@ let fresh_token viewid =
 
 (* ---- Byte codec -------------------------------------------------------
 
-   Field framing in the style of [Gcs_apps.Codec] (which sits above this
-   library in the dependency order and cannot be reused here): fields are
-   joined with '|', escaping '%' and '|'; the empty record gets the
-   marker "%n", which escaping can never produce. Nested records are just
-   fields, so structures compose by re-encoding — the innermost level is
-   escaped the most. *)
+   One flat binary framing, shared with the Skeen and sequencer wire
+   formats: a packet is a constructor tag byte followed by its fields in
+   order. Ints are zigzag LEB128 varints (7 bits a byte, low group first,
+   high bit = more follows), so small ints of either sign take one byte
+   and [min_int]..[max_int] at most nine. Strings and lists are a count
+   (an int) followed by their bytes or elements. Nothing is escaped and a
+   nested record is just its fields in line, so an encoder writes one
+   [Buffer] and a decoder walks one cursor over the received string. *)
 
-module F = struct
-  let escape field =
-    let buf = Buffer.create (String.length field + 4) in
-    String.iter
-      (fun c ->
-        match c with
-        | '%' -> Buffer.add_string buf "%p"
-        | '|' -> Buffer.add_string buf "%b"
-        | c -> Buffer.add_char buf c)
-      field;
-    Buffer.contents buf
+module Enc = struct
+  (* [u] is the zigzag image, read as unsigned: [lsr] never sign-fills. *)
+  let rec uvarint b u =
+    if u lsr 7 = 0 then Buffer.add_uint8 b u
+    else begin
+      Buffer.add_uint8 b ((u land 0x7f) lor 0x80);
+      uvarint b (u lsr 7)
+    end
 
-  let unescape field =
-    let buf = Buffer.create (String.length field) in
-    let n = String.length field in
-    let rec go i =
-      if i >= n then Some (Buffer.contents buf)
-      else
-        match field.[i] with
-        | '%' ->
-            if i + 1 >= n then None
-            else (
-              match field.[i + 1] with
-              | 'p' ->
-                  Buffer.add_char buf '%';
-                  go (i + 2)
-              | 'b' ->
-                  Buffer.add_char buf '|';
-                  go (i + 2)
-              | _ -> None)
-        | '|' -> None
-        | c ->
-            Buffer.add_char buf c;
-            go (i + 1)
-    in
-    go 0
+  let tag b t = Buffer.add_uint8 b t
+  let int b n = uvarint b ((n lsl 1) lxor (n asr 62))
 
-  let empty_marker = "%n"
+  let string b s =
+    int b (String.length s);
+    Buffer.add_string b s
 
-  let encode fields =
-    match fields with
-    | [] -> empty_marker
-    | _ -> String.concat "|" (List.map escape fields)
+  let list f b xs =
+    int b (List.length xs);
+    List.iter (f b) xs
 
-  let decode s =
-    if String.equal s empty_marker then Some []
+  let to_string f x =
+    let b = Buffer.create 64 in
+    f b x;
+    Buffer.contents b
+end
+
+module Dec = struct
+  type t = { src : string; mutable pos : int }
+
+  exception Malformed of { field : string; at : int; why : string }
+
+  let fail field at why = raise (Malformed { field; at; why })
+
+  let tag field d =
+    let pos = d.pos in
+    if pos >= String.length d.src then fail field pos "missing tag"
+    else begin
+      d.pos <- pos + 1;
+      Char.code d.src.[pos]
+    end
+
+  let bad_tag field t d =
+    fail field (d.pos - 1) (Printf.sprintf "unknown tag %d" t)
+
+  (* The ninth byte carries bits 56..62, the last of a 63-bit int, so a
+     ninth byte that announces a tenth overflows. A zero final byte after
+     the first adds no bits: rejecting it keeps every int to exactly one
+     encoding. *)
+  let rec uvarint field d start pos shift acc =
+    if pos >= String.length d.src then fail field start "truncated varint"
     else
-      let raw = String.split_on_char '|' s in
-      let rec go acc = function
-        | [] -> Some (List.rev acc)
-        | f :: rest -> (
-            match unescape f with Some u -> go (u :: acc) rest | None -> None)
-      in
-      go [] raw
+      let byte = Char.code d.src.[pos] in
+      let acc = acc lor ((byte land 0x7f) lsl shift) in
+      if byte < 0x80 then
+        if byte = 0 && shift > 0 then fail field start "overlong varint"
+        else begin
+          d.pos <- pos + 1;
+          acc
+        end
+      else if shift >= 56 then fail field start "varint overflows 63 bits"
+      else uvarint field d start (pos + 1) (shift + 7) acc
+
+  let int field d =
+    let u = uvarint field d d.pos d.pos 0 0 in
+    (u lsr 1) lxor (-(u land 1))
+
+  (* Every element and byte takes at least one byte, so a count beyond
+     the bytes left is malformed — checked before anything is built. *)
+  let count field d =
+    let at = d.pos in
+    let n = int field d in
+    let left = String.length d.src - d.pos in
+    if n < 0 then fail field at (Printf.sprintf "negative length %d" n)
+    else if n > left then
+      fail field at (Printf.sprintf "length %d exceeds the %d bytes left" n left)
+    else n
+
+  let string field d =
+    let n = count field d in
+    let v = String.sub d.src d.pos n in
+    d.pos <- d.pos + n;
+    v
+
+  let list field f d =
+    let rec go acc k = if k = 0 then List.rev acc else go (f d :: acc) (k - 1) in
+    go [] (count field d)
+
+  let run label f s =
+    let d = { src = s; pos = 0 } in
+    match f d with
+    | x when d.pos = String.length s -> Ok x
+    | _ ->
+        Error
+          (Printf.sprintf "%s: %d trailing bytes at byte %d" label
+             (String.length s - d.pos) d.pos)
+    | exception Malformed { field; at; why } ->
+        Error (Printf.sprintf "%s: %s at byte %d: %s" label field at why)
 end
 
-module Framing = struct
-  let encode = F.encode
-  let decode = F.decode
-end
+let enc_viewid b (v : View_id.t) =
+  Enc.int b v.num;
+  Enc.int b v.origin
 
-let ( let* ) = Result.bind
-let errf fmt = Printf.ksprintf (fun s -> Error s) fmt
+let dec_viewid d =
+  let num = Dec.int "viewid.num" d in
+  let origin = Dec.int "viewid.origin" d in
+  View_id.make ~num ~origin
 
-let fields_of label s =
-  match F.decode s with
-  | Some fs -> Ok fs
-  | None -> errf "%s: bad framing in %S" label s
+let enc_label b (l : Label.t) =
+  enc_viewid b l.id;
+  Enc.int b l.seqno;
+  Enc.int b l.origin
 
-let int_of label s =
-  match int_of_string_opt s with
-  | Some i -> Ok i
-  | None -> errf "%s: not an integer: %S" label s
+let enc_entry b (l, v) =
+  enc_label b l;
+  Enc.string b v
 
-let enc_list enc xs = F.encode (List.map enc xs)
+let dec_label d =
+  let id = dec_viewid d in
+  let seqno = Dec.int "label.seqno" d in
+  let origin = Dec.int "label.origin" d in
+  Label.make ~id ~seqno ~origin
 
-let dec_list label dec s =
-  let* fs = fields_of label s in
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | f :: rest ->
-        let* x = dec f in
-        go (x :: acc) rest
+let dec_entry d =
+  let l = dec_label d in
+  (l, Dec.string "entry.value" d)
+
+let enc_summary b (x : Summary.t) =
+  Enc.list enc_entry b (Label.Map.bindings x.con);
+  Enc.list enc_label b x.ord;
+  Enc.int b x.next;
+  match x.high with
+  | None -> Enc.tag b 0
+  | Some v ->
+      Enc.tag b 1;
+      enc_viewid b v
+
+let dec_summary d =
+  let con = Dec.list "summary.con" dec_entry d in
+  let ord = Dec.list "summary.ord" dec_label d in
+  let next = Dec.int "summary.next" d in
+  let high =
+    match Dec.tag "summary.high" d with
+    | 0 -> None
+    | 1 -> Some (dec_viewid d)
+    | t -> Dec.bad_tag "summary.high" t d
   in
-  go [] fs
+  Summary.make
+    ~con:(List.fold_left (fun m (l, v) -> Label.Map.add l v m) Label.Map.empty con)
+    ~ord ~next ~high
 
-let enc_viewid (v : View_id.t) =
-  F.encode [ string_of_int v.num; string_of_int v.origin ]
+let enc_msg b = function
+  | Msg.App (l, v) ->
+      Enc.tag b 0;
+      enc_entry b (l, v)
+  | Msg.Batch entries ->
+      Enc.tag b 1;
+      Enc.list enc_entry b entries
+  | Msg.Summary x ->
+      Enc.tag b 2;
+      enc_summary b x
 
-let dec_viewid s =
-  let* fs = fields_of "viewid" s in
-  match fs with
-  | [ num; origin ] ->
-      let* num = int_of "viewid.num" num in
-      let* origin = int_of "viewid.origin" origin in
-      Ok (View_id.make ~num ~origin)
-  | _ -> errf "viewid: expected 2 fields in %S" s
+let dec_msg d =
+  match Dec.tag "msg" d with
+  | 0 ->
+      let l, v = dec_entry d in
+      Msg.App (l, v)
+  | 1 -> Msg.Batch (Dec.list "batch" dec_entry d)
+  | 2 -> Msg.Summary (dec_summary d)
+  | t -> Dec.bad_tag "msg" t d
 
-let enc_label (l : Label.t) =
-  F.encode [ enc_viewid l.id; string_of_int l.seqno; string_of_int l.origin ]
+let enc_proc_counts b m =
+  Enc.list
+    (fun b (p, c) ->
+      Enc.int b p;
+      Enc.int b c)
+    b (Proc.Map.bindings m)
 
-let dec_label s =
-  let* fs = fields_of "label" s in
-  match fs with
-  | [ id; seqno; origin ] ->
-      let* id = dec_viewid id in
-      let* seqno = int_of "label.seqno" seqno in
-      let* origin = int_of "label.origin" origin in
-      Ok (Label.make ~id ~seqno ~origin)
-  | _ -> errf "label: expected 3 fields in %S" s
+let dec_proc_counts field d =
+  List.fold_left
+    (fun m (p, c) -> Proc.Map.add p c m)
+    Proc.Map.empty
+    (Dec.list field
+       (fun d ->
+         let p = Dec.int field d in
+         (p, Dec.int field d))
+       d)
 
-let enc_viewid_opt = function
-  | None -> F.encode [ "n" ]
-  | Some v -> F.encode [ "s"; enc_viewid v ]
-
-let dec_viewid_opt s =
-  let* fs = fields_of "viewid?" s in
-  match fs with
-  | [ "n" ] -> Ok None
-  | [ "s"; v ] ->
-      let* v = dec_viewid v in
-      Ok (Some v)
-  | _ -> errf "viewid?: malformed %S" s
-
-let enc_summary (x : Summary.t) =
-  F.encode
-    [
-      enc_list
-        (fun (l, v) -> F.encode [ enc_label l; v ])
-        (Label.Map.bindings x.con);
-      enc_list enc_label x.ord;
-      string_of_int x.next;
-      enc_viewid_opt x.high;
-    ]
-
-let dec_summary s =
-  let* fs = fields_of "summary" s in
-  match fs with
-  | [ con; ord; next; high ] ->
-      let* con =
-        dec_list "summary.con"
-          (fun f ->
-            let* fs = fields_of "summary.con entry" f in
-            match fs with
-            | [ l; v ] ->
-                let* l = dec_label l in
-                Ok (l, v)
-            | _ -> errf "summary.con entry: malformed %S" f)
-          con
-      in
-      let* ord = dec_list "summary.ord" dec_label ord in
-      let* next = int_of "summary.next" next in
-      let* high = dec_viewid_opt high in
-      Ok
-        (Summary.make
-           ~con:
-             (List.fold_left
-                (fun m (l, v) -> Label.Map.add l v m)
-                Label.Map.empty con)
-           ~ord ~next ~high)
-  | _ -> errf "summary: expected 4 fields in %S" s
-
-let enc_entry (l, v) = F.encode [ enc_label l; v ]
-
-let dec_entry s =
-  let* fs = fields_of "batch.entry" s in
-  match fs with
-  | [ l; v ] ->
-      let* l = dec_label l in
-      Ok (l, v)
-  | _ -> errf "batch.entry: expected 2 fields in %S" s
-
-let enc_msg = function
-  | Msg.App (l, v) -> F.encode [ "a"; enc_label l; v ]
-  | Msg.Batch entries -> F.encode [ "b"; enc_list enc_entry entries ]
-  | Msg.Summary x -> F.encode [ "s"; enc_summary x ]
-
-let dec_msg s =
-  let* fs = fields_of "msg" s in
-  match fs with
-  | [ "a"; l; v ] ->
-      let* l = dec_label l in
-      Ok (Msg.App (l, v))
-  | [ "b"; entries ] ->
-      let* entries = dec_list "batch" dec_entry entries in
-      Ok (Msg.Batch entries)
-  | [ "s"; x ] ->
-      let* x = dec_summary x in
-      Ok (Msg.Summary x)
-  | _ -> errf "msg: malformed %S" s
-
-let enc_proc_counts m =
-  enc_list
-    (fun (p, c) -> F.encode [ string_of_int p; string_of_int c ])
-    (Proc.Map.bindings m)
-
-let dec_proc_counts label s =
-  let* entries =
-    dec_list label
-      (fun f ->
-        let* fs = fields_of label f in
-        match fs with
-        | [ p; c ] ->
-            let* p = int_of label p in
-            let* c = int_of label c in
-            Ok (p, c)
-        | _ -> errf "%s: malformed entry %S" label f)
-      s
-  in
-  Ok (List.fold_left (fun m (p, c) -> Proc.Map.add p c m) Proc.Map.empty entries)
-
-let enc_token enc_m (t : 'm token) =
-  F.encode
-    [
-      enc_viewid t.viewid;
-      enc_list
-        (fun e ->
-          F.encode [ string_of_int e.idx; string_of_int e.src; enc_m e.msg ])
-        t.entries;
-      string_of_int t.next_idx;
-      enc_proc_counts t.delivered;
-      enc_proc_counts t.safe_acked;
-      enc_proc_counts t.appended;
-    ]
-
-let dec_token dec_m s =
-  let* fs = fields_of "token" s in
-  match fs with
-  | [ viewid; entries; next_idx; delivered; safe_acked; appended ] ->
-      let* viewid = dec_viewid viewid in
-      let* entries =
-        dec_list "token.entries"
-          (fun f ->
-            let* fs = fields_of "token entry" f in
-            match fs with
-            | [ idx; src; msg ] ->
-                let* idx = int_of "token entry.idx" idx in
-                let* src = int_of "token entry.src" src in
-                let* msg = dec_m msg in
-                Ok { idx; src; msg }
-            | _ -> errf "token entry: malformed %S" f)
-          entries
-      in
-      let* next_idx = int_of "token.next_idx" next_idx in
-      let* delivered = dec_proc_counts "token.delivered" delivered in
-      let* safe_acked = dec_proc_counts "token.safe_acked" safe_acked in
-      let* appended = dec_proc_counts "token.appended" appended in
-      Ok { viewid; entries; next_idx; delivered; safe_acked; appended }
-  | _ -> errf "token: expected 6 fields in %S" s
-
-let enc_view (v : View.t) =
-  F.encode
-    [ enc_viewid v.id; enc_list string_of_int (Proc.Set.elements v.set) ]
-
-let dec_view s =
-  let* fs = fields_of "view" s in
-  match fs with
-  | [ id; set ] ->
-      let* id = dec_viewid id in
-      let* members = dec_list "view.set" (int_of "view member") set in
-      Ok (View.make id members)
-  | _ -> errf "view: expected 2 fields in %S" s
-
-let encode_packet enc_m = function
-  | Newgroup { viewid } -> F.encode [ "ng"; enc_viewid viewid ]
-  | Accept { viewid } -> F.encode [ "ac"; enc_viewid viewid ]
+let encode_packet enc_m b = function
+  | Newgroup { viewid } ->
+      Enc.tag b 0;
+      enc_viewid b viewid
+  | Accept { viewid } ->
+      Enc.tag b 1;
+      enc_viewid b viewid
   | Nack { viewid; proposed_num } ->
-      F.encode [ "nk"; enc_viewid viewid; string_of_int proposed_num ]
-  | ViewMsg { view } -> F.encode [ "vm"; enc_view view ]
-  | Token t -> F.encode [ "tk"; enc_token enc_m t ]
-  | Probe { viewid_num } -> F.encode [ "pb"; string_of_int viewid_num ]
+      Enc.tag b 2;
+      enc_viewid b viewid;
+      Enc.int b proposed_num
+  | ViewMsg { view } ->
+      Enc.tag b 3;
+      enc_viewid b view.id;
+      Enc.list Enc.int b (Proc.Set.elements view.set)
+  | Token t ->
+      Enc.tag b 4;
+      enc_viewid b t.viewid;
+      Enc.list
+        (fun b e ->
+          Enc.int b e.idx;
+          Enc.int b e.src;
+          enc_m b e.msg)
+        b t.entries;
+      Enc.int b t.next_idx;
+      enc_proc_counts b t.delivered;
+      enc_proc_counts b t.safe_acked;
+      enc_proc_counts b t.appended
+  | Probe { viewid_num } ->
+      Enc.tag b 5;
+      Enc.int b viewid_num
 
-let decode_packet dec_m s =
-  let* fs = fields_of "packet" s in
-  match fs with
-  | [ "ng"; viewid ] ->
-      let* viewid = dec_viewid viewid in
-      Ok (Newgroup { viewid })
-  | [ "ac"; viewid ] ->
-      let* viewid = dec_viewid viewid in
-      Ok (Accept { viewid })
-  | [ "nk"; viewid; proposed_num ] ->
-      let* viewid = dec_viewid viewid in
-      let* proposed_num = int_of "nack.proposed_num" proposed_num in
-      Ok (Nack { viewid; proposed_num })
-  | [ "vm"; view ] ->
-      let* view = dec_view view in
-      Ok (ViewMsg { view })
-  | [ "tk"; token ] ->
-      let* token = dec_token dec_m token in
-      Ok (Token token)
-  | [ "pb"; viewid_num ] ->
-      let* viewid_num = int_of "probe.viewid_num" viewid_num in
-      Ok (Probe { viewid_num })
-  | _ -> errf "packet: unknown shape %S" s
+let decode_packet dec_m d =
+  match Dec.tag "packet" d with
+  | 0 -> Newgroup { viewid = dec_viewid d }
+  | 1 -> Accept { viewid = dec_viewid d }
+  | 2 ->
+      let viewid = dec_viewid d in
+      Nack { viewid; proposed_num = Dec.int "nack.proposed_num" d }
+  | 3 ->
+      let id = dec_viewid d in
+      let members = Dec.list "view.set" (Dec.int "view member") d in
+      ViewMsg { view = View.make id members }
+  | 4 ->
+      let viewid = dec_viewid d in
+      let entries =
+        Dec.list "token.entries"
+          (fun d ->
+            let idx = Dec.int "token entry.idx" d in
+            let src = Dec.int "token entry.src" d in
+            { idx; src; msg = dec_m d })
+          d
+      in
+      let next_idx = Dec.int "token.next_idx" d in
+      let delivered = dec_proc_counts "token.delivered" d in
+      let safe_acked = dec_proc_counts "token.safe_acked" d in
+      let appended = dec_proc_counts "token.appended" d in
+      Token { viewid; entries; next_idx; delivered; safe_acked; appended }
+  | 5 -> Probe { viewid_num = Dec.int "probe.viewid_num" d }
+  | t -> Dec.bad_tag "packet" t d
 
 let packet_codec ~enc_msg ~dec_msg : _ Gcs_transport.Iface.codec =
   {
-    enc = encode_packet enc_msg;
-    dec = decode_packet dec_msg;
+    enc = Enc.to_string (encode_packet enc_msg);
+    dec = Dec.run "wire packet" (decode_packet dec_msg);
   }
 
 let msg_packet_codec : Msg.t packet Gcs_transport.Iface.codec =
   packet_codec ~enc_msg ~dec_msg
 
 let string_packet_codec : string packet Gcs_transport.Iface.codec =
-  packet_codec ~enc_msg:(fun s -> s) ~dec_msg:(fun s -> Ok s)
+  packet_codec ~enc_msg:Enc.string ~dec_msg:(Dec.string "payload")
 
 let pp_packet ppf = function
   | Newgroup { viewid } -> Format.fprintf ppf "newgroup(%a)" View_id.pp viewid

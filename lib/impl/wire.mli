@@ -35,20 +35,85 @@ type 'm packet =
 val fresh_token : View_id.t -> 'm token
 val pp_packet : Format.formatter -> 'm packet -> unit
 
+(** {2 Binary framing}
+
+    The one framing under every packet codec in the repository: this
+    module's and the Skeen and sequencer backends'. (Client values are
+    opaque strings here; [Gcs_apps.Codec] frames them above the wire.) A packet
+    is a one-byte constructor tag followed by its fields in order:
+
+    - an int is a zigzag LEB128 varint: the sign folded into bit 0, then
+      7 bits a byte, low group first, the high bit set on every byte but
+      the last. [-64..63] take one byte, the full [int] range at most
+      nine, and every int has exactly one encoding;
+    - a string is its length (an int) followed by its bytes, unescaped,
+      so arbitrary payload bytes survive;
+    - a list is its element count (an int) followed by the elements;
+    - a nested record or variant is its own tag and fields, in line.
+
+    Encoders write into one [Buffer]; decoders read through a cursor over
+    the received string, copying only the string fields themselves. *)
+
+module Enc : sig
+  val tag : Buffer.t -> int -> unit
+  (** One byte, [0..255]. *)
+
+  val int : Buffer.t -> int -> unit
+  val string : Buffer.t -> string -> unit
+  val list : (Buffer.t -> 'a -> unit) -> Buffer.t -> 'a list -> unit
+
+  val to_string : (Buffer.t -> 'a -> unit) -> 'a -> string
+  (** Encode one value into a fresh buffer. *)
+end
+
+module Dec : sig
+  type t
+  (** A cursor over one received frame. *)
+
+  (** Each reader takes the name of the field it reads first, for the
+      error message, and advances the cursor. Outside {!run} they raise a
+      private exception on malformed bytes; {!run} turns it into
+      [Error]. *)
+
+  val tag : string -> t -> int
+
+  val bad_tag : string -> int -> t -> 'a
+  (** Reject the tag just read as unknown. *)
+
+  val int : string -> t -> int
+  (** Rejects a truncated varint, a tenth byte (the value overflows 63
+      bits) and a zero final byte after the first (overlong). *)
+
+  val string : string -> t -> string
+
+  val list : string -> (t -> 'a) -> t -> 'a list
+  (** Every element must encode to at least one byte: a string length or
+      list count that is negative or exceeds the bytes left is rejected
+      before anything is allocated for it. *)
+
+  val run : string -> (t -> 'a) -> string -> ('a, string) result
+  (** [run label f s] decodes all of [s] with [f]. Total: malformed
+      bytes, including trailing bytes after a complete value, yield
+      [Error], never an exception. The message names [label], the field
+      and the byte offset, and never copies the frame, so its length does
+      not grow with the input. *)
+end
+
 (** {2 Byte codec}
 
     Serialization for real transports ({!Gcs_transport.Bus} and, later,
-    sockets): every packet constructor round-trips through a flat field
-    encoding (['|']-separated, ['%']-escaped, so arbitrary payload bytes
-    survive). The simulator moves packets by value and never touches
-    this path. Decoding is total — malformed bytes yield [Error], never
-    an exception or a guessed packet. *)
+    sockets): every packet constructor round-trips through the framing
+    above. Tags: [Newgroup] 0, [Accept] 1, [Nack] 2, [ViewMsg] 3,
+    [Token] 4, [Probe] 5; inside a token entry a {!Gcs_core.Msg.t} is
+    [App] 0, [Batch] 1, [Summary] 2. The simulator moves packets by value
+    and never touches this path. *)
 
 val packet_codec :
-  enc_msg:('m -> string) ->
-  dec_msg:(string -> ('m, string) result) ->
+  enc_msg:(Buffer.t -> 'm -> unit) ->
+  dec_msg:(Dec.t -> 'm) ->
   'm packet Gcs_transport.Iface.codec
-(** Codec for packets over any payload type, given a payload codec. *)
+(** Codec for packets over any payload type, given the payload's framing
+    encoder and decoder. *)
 
 val msg_packet_codec : Msg.t packet Gcs_transport.Iface.codec
 (** The full VStoTO wire format: packets carrying labelled application
@@ -56,33 +121,3 @@ val msg_packet_codec : Msg.t packet Gcs_transport.Iface.codec
 
 val string_packet_codec : string packet Gcs_transport.Iface.codec
 (** Packets over raw string payloads (tests and simple clients). *)
-
-(** {2 Field framing}
-
-    The framing primitive under every codec in this module, exported so
-    sibling wire formats (the Skeen and sequencer backends, application
-    codecs) compose with the same escaping discipline instead of
-    inventing a second one: fields join with ['|'], escaping ['%'] and
-    ['|']; the empty field list gets a marker that escaping can never
-    produce. Nested records are just fields, so structures compose by
-    re-encoding — the innermost level is escaped the most. *)
-
-module Framing : sig
-  val encode : string list -> string
-
-  val decode : string -> string list option
-  (** Total: [None] on malformed bytes (stray ['%'], bare ['|'] inside a
-      field), never an exception. *)
-end
-
-val fields_of : string -> string -> (string list, string) result
-(** [fields_of label s] is {!Framing.decode} in the [result] error style
-    of the decoders here, with [label] naming the field in the error. *)
-
-val int_of : string -> string -> (int, string) result
-
-val enc_list : ('a -> string) -> 'a list -> string
-(** Encode a list as one field (each element [enc]-ed, then framed). *)
-
-val dec_list :
-  string -> (string -> ('a, string) result) -> string -> ('a list, string) result

@@ -249,58 +249,52 @@ let handlers config =
 
 (* ----------------------------- byte codec ---------------------------- *)
 
-module W = Gcs_impl.Wire
+module E = Gcs_impl.Wire.Enc
+module D = Gcs_impl.Wire.Dec
 
-let ( let* ) = Result.bind
-let errf fmt = Printf.ksprintf (fun s -> Error s) fmt
+let enc_pair b x y =
+  E.int b x;
+  E.int b y
 
-let enc_mid (m : mid) =
-  W.Framing.encode [ string_of_int m.sender; string_of_int m.seq ]
+let dec_mid d =
+  let sender = D.int "mid.sender" d in
+  { sender; seq = D.int "mid.seq" d }
 
-let dec_mid s =
-  let* fs = W.fields_of "mid" s in
-  match fs with
-  | [ sender; seq ] ->
-      let* sender = W.int_of "mid.sender" sender in
-      let* seq = W.int_of "mid.seq" seq in
-      Ok { sender; seq }
-  | _ -> errf "mid: expected 2 fields in %S" s
+let dec_ts d =
+  let clock = D.int "ts.clock" d in
+  { clock; origin = D.int "ts.origin" d }
 
-let enc_ts (t : ts) =
-  W.Framing.encode [ string_of_int t.clock; string_of_int t.origin ]
+let encode_packet =
+  E.to_string (fun b -> function
+    | Propose { mid; value; dests } ->
+        E.tag b 0;
+        enc_pair b mid.sender mid.seq;
+        E.string b value;
+        E.list E.int b dests
+    | Proposal { mid; ts } ->
+        E.tag b 1;
+        enc_pair b mid.sender mid.seq;
+        enc_pair b ts.clock ts.origin
+    | Commit { mid; ts } ->
+        E.tag b 2;
+        enc_pair b mid.sender mid.seq;
+        enc_pair b ts.clock ts.origin)
 
-let dec_ts s =
-  let* fs = W.fields_of "ts" s in
-  match fs with
-  | [ clock; origin ] ->
-      let* clock = W.int_of "ts.clock" clock in
-      let* origin = W.int_of "ts.origin" origin in
-      Ok { clock; origin }
-  | _ -> errf "ts: expected 2 fields in %S" s
-
-let encode_packet = function
-  | Propose { mid; value; dests } ->
-      W.Framing.encode
-        [ "p"; enc_mid mid; value; W.enc_list string_of_int dests ]
-  | Proposal { mid; ts } -> W.Framing.encode [ "q"; enc_mid mid; enc_ts ts ]
-  | Commit { mid; ts } -> W.Framing.encode [ "c"; enc_mid mid; enc_ts ts ]
-
-let decode_packet s =
-  let* fs = W.fields_of "skeen packet" s in
-  match fs with
-  | [ "p"; mid; value; dests ] ->
-      let* mid = dec_mid mid in
-      let* dests = W.dec_list "propose.dests" (W.int_of "propose.dest") dests in
-      Ok (Propose { mid; value; dests })
-  | [ "q"; mid; ts ] ->
-      let* mid = dec_mid mid in
-      let* ts = dec_ts ts in
-      Ok (Proposal { mid; ts })
-  | [ "c"; mid; ts ] ->
-      let* mid = dec_mid mid in
-      let* ts = dec_ts ts in
-      Ok (Commit { mid; ts })
-  | _ -> errf "skeen packet: unknown shape %S" s
+let decode_packet =
+  D.run "skeen packet" (fun d ->
+      match D.tag "skeen packet" d with
+      | 0 ->
+          let mid = dec_mid d in
+          let value = D.string "propose.value" d in
+          let dests = D.list "propose.dests" (D.int "propose.dest") d in
+          Propose { mid; value; dests }
+      | 1 ->
+          let mid = dec_mid d in
+          Proposal { mid; ts = dec_ts d }
+      | 2 ->
+          let mid = dec_mid d in
+          Commit { mid; ts = dec_ts d }
+      | t -> D.bad_tag "skeen packet" t d)
 
 let packet_codec : packet Gcs_transport.Iface.codec =
   { enc = encode_packet; dec = decode_packet }

@@ -82,7 +82,11 @@ val snapshot_node : node -> string
     outstanding coordinations) — the raw material for the fuzzer's
     fuzzy-hashed state coverage. Equal states render to equal bytes. *)
 
-(** {2 Byte codec} *)
+(** {2 Byte codec}
+
+    Over the shared binary framing ({!Gcs_impl.Wire.Enc}): tag
+    [Propose] 0, [Proposal] 1, [Commit] 2, then the fields in
+    declaration order, [mid] and [ts] as their two ints in line. *)
 
 val encode_packet : packet -> string
 val decode_packet : string -> (packet, string) result

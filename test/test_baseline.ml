@@ -211,6 +211,98 @@ let test_lamport_faster_than_token () =
     true
     (lamport_latency < vstoto_latency)
 
+(* ------------------------- sequencer codec -------------------------- *)
+
+let equal_seq_packet a b =
+  match (a, b) with
+  | Sequencer.Request a, Sequencer.Request b ->
+      Proc.equal a.origin b.origin && String.equal a.value b.value
+  | Sequencer.Ordered a, Sequencer.Ordered b ->
+      a.seq = b.seq && Proc.equal a.origin b.origin && String.equal a.value b.value
+  | _ -> false
+
+let seq_roundtrip p =
+  match Sequencer.decode_packet (Sequencer.encode_packet p) with
+  | Ok p' -> equal_seq_packet p p'
+  | Error e -> QCheck.Test.fail_reportf "decode failed: %s" e
+
+let pp_seq_packet = function
+  | Sequencer.Request { origin; value } ->
+      Printf.sprintf "request(%d,%S)" origin value
+  | Sequencer.Ordered { seq; origin; value } ->
+      Printf.sprintf "ordered(%d,%d,%S)" seq origin value
+
+(* Full byte range for values and the full int range for ints. *)
+let gen_seq_packet =
+  let open QCheck.Gen in
+  let value = string_size ~gen:char (int_range 0 30) in
+  oneof
+    [
+      map2 (fun origin value -> Sequencer.Request { origin; value }) int value;
+      map3
+        (fun seq origin value -> Sequencer.Ordered { seq; origin; value })
+        int int value;
+    ]
+
+let qcheck_seq_roundtrip =
+  QCheck.Test.make ~name:"sequencer packet codec roundtrips" ~count:500
+    (QCheck.make ~print:pp_seq_packet gen_seq_packet)
+    seq_roundtrip
+
+let qcheck_seq_decode_total =
+  QCheck.Test.make ~name:"sequencer packet decode is total" ~count:1000
+    (QCheck.make ~print:String.escaped
+       QCheck.Gen.(string_size ~gen:char (int_range 0 60)))
+    (fun s -> match Sequencer.decode_packet s with Ok _ | Error _ -> true)
+
+let test_seq_int_extremes () =
+  List.iter
+    (fun x ->
+      List.iter
+        (fun p ->
+          if not (seq_roundtrip p) then
+            Alcotest.failf "%s decoded differently" (pp_seq_packet p))
+        [
+          Sequencer.Request { origin = x; value = "v" };
+          Sequencer.Ordered { seq = x; origin = x; value = "" };
+        ])
+    Codec_check.extremes
+
+module Enc = Gcs_impl.Wire.Enc
+
+let test_seq_malformed () =
+  let dec = Sequencer.decode_packet and frame = Codec_check.frame in
+  let rejects = Codec_check.rejects in
+  Codec_check.generic_cases dec
+    ~valid:
+      (Sequencer.encode_packet
+         (Sequencer.Ordered { seq = 4; origin = 1; value = "v" }));
+  rejects "2^60-byte value" dec
+    (frame (fun b ->
+         Enc.tag b 0;
+         Enc.int b 1;
+         Enc.int b Codec_check.huge))
+    ~mentions:[ "request.value"; "byte 2"; "exceeds the 0 bytes left" ];
+  rejects "1 MiB value in a short frame" dec
+    (frame (fun b ->
+         Enc.tag b 1;
+         List.iter (Enc.int b) [ 1; 2; Codec_check.mib ];
+         Buffer.add_string b "abc"))
+    ~mentions:[ "ordered.value"; "exceeds the 3 bytes left" ];
+  rejects "negative value length" dec
+    (frame (fun b ->
+         Enc.tag b 1;
+         List.iter (Enc.int b) [ 1; 2; -1 ]))
+    ~mentions:[ "ordered.value"; "negative length -1" ];
+  rejects "overlong varint" dec "\x00\xff\x00"
+    ~mentions:[ "request.origin"; "overlong" ];
+  rejects "varint past 63 bits" dec ("\x01" ^ String.make 10 '\xff')
+    ~mentions:[ "ordered.seq"; "byte 1"; "overflows" ];
+  rejects "truncated varint" dec "\x01\x02\x80"
+    ~mentions:[ "ordered.origin"; "truncated" ];
+  rejects "unknown tag" dec "\x02"
+    ~mentions:[ "sequencer packet"; "unknown tag 2" ]
+
 let () =
   Alcotest.run "baseline"
     [
@@ -220,6 +312,11 @@ let () =
           Alcotest.test_case "partition stalls cut side" `Quick
             test_partition_stalls_cut_side;
         ] );
+      ( "codec",
+        Alcotest.test_case "int fields at the extremes" `Quick test_seq_int_extremes
+        :: Alcotest.test_case "malformed frames rejected" `Quick test_seq_malformed
+        :: List.map QCheck_alcotest.to_alcotest
+             [ qcheck_seq_roundtrip; qcheck_seq_decode_total ] );
       ( "comparison",
         [
           Alcotest.test_case "sequencer faster when stable" `Quick

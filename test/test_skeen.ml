@@ -235,7 +235,7 @@ let gen_mid =
 let gen_ts =
   Gen.map2 (fun clock origin -> { Skeen.clock; origin }) (Gen.int_range 0 9999) gen_proc
 
-(* Full byte range: the framing characters must be as likely as any. *)
+(* Full byte range: no byte value may be special to the framing. *)
 let gen_value = Gen.(string_size ~gen:char (int_range 0 30))
 
 let gen_packet =
@@ -275,6 +275,72 @@ let qcheck_decode_total =
     (fun s ->
       match Skeen.decode_packet s with Ok _ | Error _ -> true)
 
+let check_roundtrip name p =
+  match Skeen.decode_packet (Skeen.encode_packet p) with
+  | Ok p' -> if not (equal_packet p p') then Alcotest.failf "%s: decoded differently" name
+  | Error e -> Alcotest.failf "%s: decode failed: %s" name e
+
+let test_int_extremes () =
+  List.iter
+    (fun x ->
+      let mid = { Skeen.sender = x; seq = x } in
+      let ts = { Skeen.clock = x; origin = x } in
+      let name what = Printf.sprintf "%s at %d" what x in
+      check_roundtrip (name "propose")
+        (Skeen.Propose { mid; value = "v"; dests = [ x; x ] });
+      check_roundtrip (name "proposal") (Skeen.Proposal { mid; ts });
+      check_roundtrip (name "commit") (Skeen.Commit { mid; ts }))
+    Codec_check.extremes
+
+module Enc = Gcs_impl.Wire.Enc
+
+let test_malformed () =
+  let dec = Skeen.decode_packet and frame = Codec_check.frame in
+  let rejects = Codec_check.rejects in
+  Codec_check.generic_cases dec
+    ~valid:
+      (Skeen.encode_packet
+         (Skeen.Commit
+            { mid = { sender = 1; seq = 2 }; ts = { clock = 3; origin = 1 } }));
+  let propose_head b =
+    Enc.tag b 0;
+    List.iter (Enc.int b) [ 1; 2 ]
+  in
+  rejects "2^60 destinations" dec
+    (frame (fun b ->
+         propose_head b;
+         Enc.string b "v";
+         Enc.int b Codec_check.huge))
+    ~mentions:[ "propose.dests"; "byte 5"; "exceeds the 0 bytes left" ];
+  rejects "2^60-byte value" dec
+    (frame (fun b ->
+         propose_head b;
+         Enc.int b Codec_check.huge))
+    ~mentions:[ "propose.value"; "byte 3" ];
+  rejects "1 MiB value in a short frame" dec
+    (frame (fun b ->
+         propose_head b;
+         Enc.int b Codec_check.mib;
+         Buffer.add_string b "abc"))
+    ~mentions:[ "propose.value"; "exceeds the 3 bytes left" ];
+  rejects "negative value length" dec
+    (frame (fun b ->
+         propose_head b;
+         Enc.int b (-1)))
+    ~mentions:[ "propose.value"; "negative length -1" ];
+  rejects "negative destination count" dec
+    (frame (fun b ->
+         propose_head b;
+         Enc.string b "v";
+         Enc.int b (-3)))
+    ~mentions:[ "propose.dests"; "negative length -3" ];
+  rejects "overlong varint" dec "\x01\x80\x00" ~mentions:[ "mid.sender"; "overlong" ];
+  rejects "varint past 63 bits" dec ("\x01\x02" ^ String.make 9 '\x80' ^ "\x01")
+    ~mentions:[ "mid.seq"; "byte 2"; "overflows" ];
+  rejects "truncated varint" dec "\x02\x02\x02\x02\x80"
+    ~mentions:[ "ts.origin"; "truncated" ];
+  rejects "unknown tag" dec "\x03" ~mentions:[ "skeen packet"; "unknown tag 3" ]
+
 let () =
   Alcotest.run "skeen"
     [
@@ -293,6 +359,8 @@ let () =
           Alcotest.test_case "bus multi-group oracle" `Quick test_bus_multi_group;
         ] );
       ( "codec",
-        List.map QCheck_alcotest.to_alcotest
-          [ qcheck_roundtrip; qcheck_decode_total ] );
+        Alcotest.test_case "int fields at the extremes" `Quick test_int_extremes
+        :: Alcotest.test_case "malformed frames rejected" `Quick test_malformed
+        :: List.map QCheck_alcotest.to_alcotest
+             [ qcheck_roundtrip; qcheck_decode_total ] );
     ]

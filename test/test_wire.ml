@@ -2,9 +2,10 @@
 
    Every packet constructor of the Section 8 protocol must survive
    encode/decode byte-for-byte over arbitrary payload bytes — including
-   the framing characters '|' and '%', empty strings, empty views, empty
-   token maps and pathologically long values — and decoding arbitrary or
-   truncated bytes must return [Error], never raise. *)
+   '|' and '%', empty strings, empty views, empty token maps, ints at the
+   ends of their range and pathologically long values — and decoding
+   arbitrary, truncated or hostile bytes must return a short [Error],
+   never raise or allocate for what the frame claims. *)
 
 open Gcs_core
 module Wire = Gcs_impl.Wire
@@ -49,7 +50,7 @@ let gen_label =
     (fun id seqno origin -> Label.make ~id ~seqno ~origin)
     gen_viewid (Gen.int_range 1 99) gen_proc
 
-(* Full byte range: the framing characters must be as likely as any. *)
+(* Full byte range: no byte value may be special to the framing. *)
 let gen_value = Gen.(string_size ~gen:char (int_range 0 30))
 
 let gen_summary =
@@ -254,6 +255,138 @@ let test_garbage_rejected () =
             (Format.asprintf "%a" Wire.pp_packet p))
     [ ""; "zz"; "tk"; "ng"; "ng|x"; "tk|1|0|notanint"; "vm|1|0"; "%n%n" ]
 
+(* --------------------------- int extremes --------------------------- *)
+
+(* Every int field of every constructor at [x]: view ids, labels, token
+   indices, sources, counts and map keys, members, summary fields. *)
+let test_int_extremes () =
+  List.iter
+    (fun x ->
+      let vid = View_id.make ~num:x ~origin:x in
+      let label = Label.make ~id:vid ~seqno:x ~origin:x in
+      let counts = Proc.Map.singleton x x in
+      let summary =
+        Summary.make
+          ~con:(Label.Map.singleton label "v")
+          ~ord:[ label ] ~next:x ~high:(Some vid)
+      in
+      let token msg =
+        Wire.Token
+          {
+            Wire.viewid = vid;
+            entries = [ { Wire.idx = x; src = x; msg } ];
+            next_idx = x;
+            delivered = counts;
+            safe_acked = counts;
+            appended = counts;
+          }
+      in
+      let name what = Printf.sprintf "%s at %d" what x in
+      check_roundtrip (name "newgroup") (Wire.Newgroup { viewid = vid });
+      check_roundtrip (name "accept") (Wire.Accept { viewid = vid });
+      check_roundtrip (name "nack") (Wire.Nack { viewid = vid; proposed_num = x });
+      check_roundtrip (name "viewmsg") (Wire.ViewMsg { view = View.make vid [ x; 0 ] });
+      check_roundtrip (name "probe") (Wire.Probe { viewid_num = x });
+      check_roundtrip (name "token app") (token (Msg.App (label, "v")));
+      check_roundtrip (name "token batch") (token (Msg.Batch [ (label, "v") ]));
+      check_roundtrip (name "token summary") (token (Msg.Summary summary)))
+    Codec_check.extremes
+
+(* ------------------------- malformed frames ------------------------- *)
+
+module Enc = Wire.Enc
+
+let rejects = Codec_check.rejects
+
+(* Tag, then view id (1, 0): the first three bytes of a token frame. *)
+let token_head b =
+  Enc.tag b 4;
+  Enc.int b 1;
+  Enc.int b 0
+
+(* A token frame with one entry (idx 0, src 0), up to its message tag. *)
+let entry_head b =
+  token_head b;
+  List.iter (Enc.int b) [ 1; 0; 0 ]
+
+(* ... up to the value of an [App] entry labelled (1, 0).1.0. *)
+let app_head b =
+  entry_head b;
+  Enc.tag b 0;
+  List.iter (Enc.int b) [ 1; 0; 1; 0 ]
+
+let frame = Codec_check.frame
+
+let test_malformed () =
+  Codec_check.generic_cases dec ~valid:(enc (Wire.Probe { viewid_num = 3 }));
+  let huge_entries =
+    frame (fun b ->
+        token_head b;
+        Enc.int b Codec_check.huge)
+  in
+  Alcotest.(check int) "a 12-byte frame" 12 (String.length huge_entries);
+  rejects "2^60 token entries" dec huge_entries
+    ~mentions:[ "token.entries"; "byte 3"; "exceeds the 0 bytes left" ];
+  rejects "1 MiB value in a short frame" dec
+    (frame (fun b ->
+         app_head b;
+         Enc.int b Codec_check.mib;
+         Buffer.add_string b "abc"))
+    ~mentions:[ "entry.value"; "exceeds the 3 bytes left" ];
+  rejects "2^60 batch entries" dec
+    (frame (fun b ->
+         entry_head b;
+         Enc.tag b 1;
+         Enc.int b Codec_check.huge))
+    ~mentions:[ "batch"; "byte 7" ];
+  rejects "2^60 view members" dec
+    (frame (fun b ->
+         Enc.tag b 3;
+         List.iter (Enc.int b) [ 1; 0; Codec_check.huge ]))
+    ~mentions:[ "view.set" ];
+  rejects "negative entry count" dec
+    (frame (fun b ->
+         token_head b;
+         Enc.int b (-1)))
+    ~mentions:[ "token.entries"; "negative length -1" ];
+  rejects "negative value length" dec
+    (frame (fun b ->
+         app_head b;
+         Enc.int b (-5)))
+    ~mentions:[ "entry.value"; "negative length -5" ];
+  rejects "overlong varint" dec "\x05\x80\x00"
+    ~mentions:[ "probe.viewid_num"; "byte 1"; "overlong" ];
+  rejects "varint past 63 bits" dec ("\x05" ^ String.make 9 '\xff' ^ "\x01")
+    ~mentions:[ "probe.viewid_num"; "overflows" ];
+  rejects "truncated varint" dec "\x05\x80" ~mentions:[ "truncated" ];
+  rejects "unknown packet tag" dec "\x06" ~mentions:[ "packet"; "unknown tag 6" ];
+  rejects "unknown msg tag" dec
+    (frame (fun b ->
+         entry_head b;
+         Enc.tag b 3))
+    ~mentions:[ "msg"; "unknown tag 3"; "byte 6" ];
+  (* A summary with empty [con] and [ord], [next] 1, then option tag 2. *)
+  rejects "unknown option tag" dec
+    (frame (fun b ->
+         entry_head b;
+         Enc.tag b 2;
+         List.iter (Enc.int b) [ 0; 0; 1 ];
+         Enc.tag b 2))
+    ~mentions:[ "summary.high"; "unknown tag 2"; "byte 10" ]
+
+(* A ~700 KB frame that fails near its end: the message stays short. *)
+let test_bounded_errors () =
+  let label i = Label.make ~id:vid ~seqno:i ~origin:0 in
+  let big = String.make 70_000 '|' in
+  let s = enc (batch_packet (List.init 10 (fun i -> (label i, big)))) in
+  Alcotest.(check bool) "frame over 700 KB" true (String.length s > 700_000);
+  rejects "truncated by one byte" dec (String.sub s 0 (String.length s - 1))
+    ~mentions:[ "token.appended"; Printf.sprintf "byte %d" (String.length s - 1) ];
+  rejects "one trailing byte" dec (s ^ "|") ~mentions:[ "trailing" ];
+  rejects "garbage after a long value" dec
+    (String.sub s 0 (String.length s - 4) ^ "\xff\xff\xff\xff")
+    ~mentions:[ "byte" ]
+
 let () =
   Alcotest.run "wire codec"
     [
@@ -268,6 +401,14 @@ let () =
           Alcotest.test_case "batched frame truncation is total" `Quick
             test_batch_truncation_total;
           Alcotest.test_case "garbage rejected" `Quick test_garbage_rejected;
+          Alcotest.test_case "int fields at the extremes" `Quick test_int_extremes;
+        ] );
+      ( "malformed",
+        [
+          Alcotest.test_case "rejected without an exception or a large allocation"
+            `Quick test_malformed;
+          Alcotest.test_case "errors stay short on large frames" `Quick
+            test_bounded_errors;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
